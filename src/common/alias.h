@@ -2,8 +2,8 @@
 //
 // Used for the eviction-targeting rule of section 3.2: "P sends the page to
 // node i, where the probability of choosing node i is proportional to w_i".
-// Nodes rebuild the table once per epoch when weights arrive, then draw a
-// target per putpage in constant time.
+// Nodes rebuild the table on their first draw after new weights arrive,
+// then draw a target per putpage in constant time.
 #ifndef SRC_COMMON_ALIAS_H_
 #define SRC_COMMON_ALIAS_H_
 

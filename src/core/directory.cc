@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace gms {
 
 PodTable Pod::Build(uint64_t version, std::vector<NodeId> live) {
   assert(!live.empty());
   std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
   PodTable table;
   table.version = version;
   table.buckets.resize(kNumBuckets);
@@ -36,9 +38,14 @@ PodTable Pod::Build(uint64_t version, std::vector<NodeId> live) {
   return table;
 }
 
+void Pod::Adopt(PodTable table) {
+  assert(std::adjacent_find(table.live.begin(), table.live.end(),
+                            std::greater_equal<NodeId>()) == table.live.end());
+  table_ = std::move(table);
+}
+
 bool Pod::IsLive(NodeId node) const {
-  return std::find(table_.live.begin(), table_.live.end(), node) !=
-         table_.live.end();
+  return std::binary_search(table_.live.begin(), table_.live.end(), node);
 }
 
 NodeId Pod::GcdNodeFor(const Uid& uid) const {

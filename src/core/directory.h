@@ -58,14 +58,17 @@ class Pod {
   static constexpr uint32_t kNumBuckets = 128;
 
   // Deterministically assigns buckets across the live set. Stable in the
-  // sense that the mapping depends only on (version, live set).
+  // sense that the mapping depends only on (version, live set). The table's
+  // `live` comes out sorted by id without duplicates, whatever the input
+  // order, so lookups and the epoch tree can binary-search it.
   static PodTable Build(uint64_t version, std::vector<NodeId> live);
 
-  void Adopt(PodTable table) { table_ = std::move(table); }
+  // `table.live` must be strictly ascending (as Build makes it).
+  void Adopt(PodTable table);
   const PodTable& table() const { return table_; }
   uint64_t version() const { return table_.version; }
 
-  bool IsLive(NodeId node) const;
+  bool IsLive(NodeId node) const;  // O(log n)
 
   // The node holding the GCD entry for this page. `self` is the node asking;
   // for private pages the answer is the page's backing node (which is the

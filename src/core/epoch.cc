@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace gms {
 
@@ -217,40 +218,74 @@ EpochPlan ComputeEpochPlan(const EpochConfig& config, uint64_t epoch,
 // aggregation tree
 // ---------------------------------------------------------------------------
 
-EpochTree EpochTree::Build(const std::vector<NodeId>& live, NodeId root,
-                           uint32_t fanout) {
+namespace {
+
+bool StrictlyAscending(std::span<const NodeId> live) {
+  return std::adjacent_find(live.begin(), live.end(),
+                            std::greater_equal<NodeId>()) == live.end();
+}
+
+}  // namespace
+
+void EpochTree::RankRoot() {
+  const std::span<const NodeId> live = Live();
+  root_rank_ = static_cast<size_t>(
+      std::lower_bound(live.begin(), live.end(), root_) - live.begin());
+  root_in_live_ = root_rank_ < live.size() && live[root_rank_] == root_;
+}
+
+EpochTree EpochTree::View(std::span<const NodeId> sorted_live, NodeId root,
+                          uint32_t fanout) {
+  assert(StrictlyAscending(sorted_live));
   EpochTree tree;
   tree.fanout = fanout > 0 ? fanout : 1;
-  tree.order.reserve(live.size() + 1);
-  tree.order.push_back(root);
-  for (NodeId node : live) {
-    if (node != root) {
-      tree.order.push_back(node);
-    }
-  }
-  // Canonical shape regardless of membership join order: the tail is sorted
-  // by id, so every node — whose live vector is replicated verbatim — and
-  // every test derives the identical tree from (live set, root, fanout).
-  std::sort(tree.order.begin() + 1, tree.order.end(),
-            [](NodeId a, NodeId b) { return a.value < b.value; });
+  tree.root_ = root;
+  tree.borrowed_ = sorted_live;
+  tree.RankRoot();
   return tree;
 }
 
-size_t EpochTree::IndexOf(NodeId node) const {
-  if (order.empty()) {
-    return kNone;
+EpochTree EpochTree::Build(std::vector<NodeId> live, NodeId root,
+                           uint32_t fanout) {
+  if (!StrictlyAscending(live)) {
+    // Canonical shape regardless of membership join order: the tail is
+    // sorted by id, so every node and every test derives the identical tree
+    // from (live set, root, fanout). Without the root in the list, a
+    // duplicated id simply occupies two positions.
+    std::erase(live, root);
+    std::sort(live.begin(), live.end());
   }
-  if (order[0] == node) {
+  EpochTree tree;
+  tree.fanout = fanout > 0 ? fanout : 1;
+  tree.root_ = root;
+  tree.owned_ = std::move(live);
+  tree.owns_ = true;
+  tree.RankRoot();
+  return tree;
+}
+
+NodeId EpochTree::At(size_t pos) const {
+  if (pos == 0) {
+    return root_;
+  }
+  size_t i = pos - 1;
+  if (root_in_live_ && i >= root_rank_) {
+    i++;  // skip the root's own entry in the live span
+  }
+  return Live()[i];
+}
+
+size_t EpochTree::IndexOf(NodeId node) const {
+  if (node == root_) {
     return 0;
   }
-  const auto begin = order.begin() + 1;
-  const auto it = std::lower_bound(
-      begin, order.end(), node,
-      [](NodeId a, NodeId b) { return a.value < b.value; });
-  if (it != order.end() && *it == node) {
-    return static_cast<size_t>(it - order.begin());
+  const std::span<const NodeId> live = Live();
+  const auto it = std::lower_bound(live.begin(), live.end(), node);
+  if (it == live.end() || *it != node) {
+    return kNone;
   }
-  return kNone;
+  const size_t i = static_cast<size_t>(it - live.begin());
+  return root_in_live_ && i > root_rank_ ? i : i + 1;
 }
 
 NodeId EpochTree::Parent(NodeId node) const {
@@ -258,7 +293,7 @@ NodeId EpochTree::Parent(NodeId node) const {
   if (i == kNone || i == 0) {
     return kInvalidNode;
   }
-  return order[(i - 1) / fanout];
+  return At((i - 1) / fanout);
 }
 
 std::vector<NodeId> EpochTree::Children(NodeId node) const {
@@ -267,9 +302,10 @@ std::vector<NodeId> EpochTree::Children(NodeId node) const {
   if (i == kNone) {
     return children;
   }
+  const size_t n = size();
   const size_t first = i * fanout + 1;
-  for (size_t c = first; c < order.size() && c < first + fanout; c++) {
-    children.push_back(order[c]);
+  for (size_t c = first; c < n && c < first + fanout; c++) {
+    children.push_back(At(c));
   }
   return children;
 }
@@ -282,11 +318,12 @@ size_t EpochTree::SubtreeSize(NodeId node) const {
   // The subtree of an f-ary heap position spans one contiguous index range
   // per level: [lo, hi] starts at [i, i] and each level maps to
   // [lo*f+1, hi*f+f].
+  const size_t n = size();
   size_t total = 0;
   size_t lo = i;
   size_t hi = i;
-  while (lo < order.size()) {
-    total += std::min(hi, order.size() - 1) - lo + 1;
+  while (lo < n) {
+    total += std::min(hi, n - 1) - lo + 1;
     lo = lo * fanout + 1;
     hi = hi * fanout + fanout;
   }
@@ -298,9 +335,10 @@ uint32_t EpochTree::SubtreeHeight(NodeId node) const {
   if (i == kNone) {
     return 0;
   }
+  const size_t n = size();
   uint32_t height = 0;
   size_t lo = i;
-  while (lo * fanout + 1 < order.size()) {
+  while (lo * fanout + 1 < n) {
     lo = lo * fanout + 1;
     height++;
   }

@@ -19,6 +19,7 @@
 #define SRC_CORE_EPOCH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/node_id.h"
@@ -119,14 +120,25 @@ EpochPlan ComputeEpochPlanFromPartial(const EpochConfig& config,
 // f-ary heap (children of position i are positions i*f+1 .. i*f+f). Every
 // node derives the same tree from its replicated membership view, so the
 // tree needs no wire representation beyond (initiator, fanout).
+//
+// The tree is a view: it keeps the sorted live span, the root and the
+// root's rank in that span, and maps position p >= 1 to live[p-1] below the
+// root's rank and live[p] from it on. View() builds it in O(log n) without
+// copying the node list; every accessor is O(log n) plus O(fanout).
 struct EpochTree {
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
-  static EpochTree Build(const std::vector<NodeId>& live, NodeId root,
+  // O(log n) view over `sorted_live`, which must be strictly ascending (the
+  // POD table's live set is) and must outlive the tree.
+  static EpochTree View(std::span<const NodeId> sorted_live, NodeId root,
+                        uint32_t fanout);
+  // Any order, duplicates allowed; the tree owns `live`, sorting it (without
+  // the root) only when it is not already strictly ascending. O(n).
+  static EpochTree Build(std::vector<NodeId> live, NodeId root,
                          uint32_t fanout);
 
-  size_t size() const { return order.size(); }
-  // O(log n): position 0 is the root and the tail is sorted by id.
+  size_t size() const { return 1 + Live().size() - (root_in_live_ ? 1 : 0); }
+  NodeId At(size_t pos) const;  // position -> node; At(0) is the root
   size_t IndexOf(NodeId node) const;
   NodeId Parent(NodeId node) const;  // kInvalidNode for the root / unknown
   std::vector<NodeId> Children(NodeId node) const;
@@ -134,8 +146,21 @@ struct EpochTree {
   uint32_t SubtreeHeight(NodeId node) const;  // leaf (or unknown) = 0
   uint32_t Depth(NodeId node) const;          // root = 0
 
-  std::vector<NodeId> order;  // position -> node; [0] is the root
   uint32_t fanout = 1;
+
+ private:
+  std::span<const NodeId> Live() const {
+    return owns_ ? std::span<const NodeId>(owned_) : borrowed_;
+  }
+  // Locates the root in the sorted live span.
+  void RankRoot();
+
+  std::span<const NodeId> borrowed_;
+  std::vector<NodeId> owned_;
+  bool owns_ = false;
+  NodeId root_;
+  size_t root_rank_ = 0;  // live nodes with id below the root's
+  bool root_in_live_ = false;
 };
 
 // Straggler window for an aggregator whose subtree has height

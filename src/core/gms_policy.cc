@@ -136,7 +136,7 @@ SimTime GmsPolicy::EffectiveMinAge() const {
 // ---------------------------------------------------------------------------
 
 void GmsPolicy::EvictClean(Frame* frame) {
-  assert(frame != nullptr && frame->in_use() && !frame->dirty);
+  assert(frame != nullptr && frame->in_use() && !frame->dirty());
   evictions_since_summary_++;
 
   // Duplicate shared pages are dropped without network transmission
@@ -170,7 +170,7 @@ void GmsPolicy::EvictClean(Frame* frame) {
 }
 
 bool GmsPolicy::EvictDirty(Frame* frame) {
-  assert(frame != nullptr && frame->in_use() && frame->dirty);
+  assert(frame != nullptr && frame->in_use() && frame->dirty());
   if (!config_.dirty_global) {
     return false;
   }
@@ -359,6 +359,9 @@ void GmsPolicy::ApplyGcdAsOwner(const GcdUpdate& update) {
 }
 
 std::optional<NodeId> GmsPolicy::SampleEvictionTarget() {
+  if (sampler_stale_) {
+    RebuildSampler();
+  }
   if (remaining_weight_ <= 0 || sampler_.empty()) {
     return std::nullopt;
   }
@@ -380,7 +383,10 @@ std::optional<NodeId> GmsPolicy::SampleEvictionTarget() {
   return NodeId{static_cast<uint32_t>(idx)};
 }
 
-void GmsPolicy::RebuildSampler() { sampler_ = AliasSampler(weights_); }
+void GmsPolicy::RebuildSampler() {
+  sampler_ = AliasSampler(weights_);
+  sampler_stale_ = false;
+}
 
 void GmsPolicy::ReportStaleWeights() {
   if (stale_reported_ || view_.epoch == 0) {
@@ -570,8 +576,8 @@ void GmsPolicy::StartTreeCollection() {
   root_acc_ = EpochPartial{};
   root_acc_.epoch = collecting_epoch_;
   root_acc_.from = self_;
-  const EpochTree tree = EpochTree::Build(pod().table().live, self_,
-                                          config_.epoch.fanout);
+  const EpochTree tree = EpochTree::View(pod().table().live, self_,
+                                         config_.epoch.fanout);
   const std::vector<NodeId> children = tree.Children(self_);
   const uint32_t height = tree.SubtreeHeight(self_);
   const SimTime request_cost =
@@ -705,8 +711,8 @@ void GmsPolicy::BeginTreeAggregation(const EpochSummaryReq& msg, NodeId from) {
   // Derive our slice of the tree from the replicated membership. If our view
   // disagrees with the initiator's (mid-reconfiguration), missing nodes are
   // recovered by the root's direct re-request sweep.
-  const EpochTree tree = EpochTree::Build(pod().table().live, msg.initiator,
-                                          msg.fanout);
+  const EpochTree tree = EpochTree::View(pod().table().live, msg.initiator,
+                                         msg.fanout);
   const bool in_tree = tree.IndexOf(self_) != EpochTree::kNone;
   const std::vector<NodeId> children =
       in_tree ? tree.Children(self_) : std::vector<NodeId>{};
@@ -922,7 +928,7 @@ void GmsPolicy::FinishSummaryCollection() {
     // O(fanout) sends and marshal cost; relays fan the rest out.
     params.tree_root = self_;
     const std::vector<NodeId> children =
-        EpochTree::Build(pod().table().live, self_, config_.epoch.fanout)
+        EpochTree::View(pod().table().live, self_, config_.epoch.fanout)
             .Children(self_);
     const SimTime cost =
         config_.costs.epoch_weights_compute_per_node *
@@ -978,8 +984,8 @@ void GmsPolicy::HandleEpochParams(const EpochParams& msg) {
       CancelTreeAggregation();
     }
     const std::vector<NodeId> children =
-        EpochTree::Build(pod().table().live, msg.tree_root,
-                         config_.epoch.fanout)
+        EpochTree::View(pod().table().live, msg.tree_root,
+                        config_.epoch.fanout)
             .Children(self_);
     if (!children.empty()) {
       const SimTime relay_cost =
@@ -1051,7 +1057,7 @@ void GmsPolicy::AdoptEpochParams(const EpochParams& params) {
   for (double w : weights_) {
     remaining_weight_ += w;
   }
-  RebuildSampler();
+  sampler_stale_ = true;
   putpages_this_epoch_ = 0;
   stale_reported_ = false;
   epoch_started_at_ = sim_->now();
@@ -1212,7 +1218,7 @@ void GmsPolicy::HandleMemberUpdate(const MemberUpdate& msg) {
     }
   }
   if (changed) {
-    RebuildSampler();
+    sampler_stale_ = true;
   }
   RepublishAfterPodChange();
   // The master restarts the epoch cycle so weights reflect the new world;

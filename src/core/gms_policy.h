@@ -195,7 +195,11 @@ class GmsPolicy final : public ReplacementPolicy {
   // Epoch participant state.
   EpochView view_;
   std::vector<double> weights_;
+  // Rebuilt from weights_ on the first draw after it goes stale (new epoch
+  // weights, departed nodes): only nodes that evict ever draw, so the O(n)
+  // build is skipped on every other node.
   AliasSampler sampler_;
+  bool sampler_stale_ = false;
   double remaining_weight_ = 0;
   uint64_t putpages_this_epoch_ = 0;  // absorbed by us (next-initiator side)
   uint32_t evictions_since_summary_ = 0;

@@ -51,7 +51,7 @@ std::optional<NodeId> HybridLfuPolicy::RandomTarget() {
 }
 
 void HybridLfuPolicy::EvictClean(Frame* frame) {
-  assert(frame != nullptr && frame->in_use() && !frame->dirty);
+  assert(frame != nullptr && frame->in_use() && !frame->dirty());
   // Duplicate shared pages are never worth a transfer — another node
   // already caches the copy.
   if (frame->shared() && frame->duplicated()) {

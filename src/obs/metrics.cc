@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cinttypes>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 namespace gms {
@@ -87,14 +89,33 @@ SimTime LatencyHistogram::Quantile(double q) const {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-bool MetricsRegistry::RegisterNamed(Metric metric) {
-  for (const auto& m : metrics_) {
-    if (m.name == metric.name) {
-      return false;
-    }
+size_t MetricsRegistry::SlotOf(std::string_view name) const {
+  const size_t mask = index_.size() - 1;
+  size_t slot = std::hash<std::string_view>{}(name) & mask;
+  while (index_[slot] != 0 && metrics_[index_[slot] - 1].name != name) {
+    slot = (slot + 1) & mask;
   }
-  names_.push_back(metric.name);
+  return slot;
+}
+
+void MetricsRegistry::GrowIndex() {
+  index_.assign(index_.empty() ? 16 : index_.size() * 2, 0);
+  for (size_t i = 0; i < metrics_.size(); i++) {
+    index_[SlotOf(metrics_[i].name)] = static_cast<uint32_t>(i + 1);
+  }
+}
+
+bool MetricsRegistry::RegisterNamed(Metric metric) {
+  assert(metrics_.size() < UINT32_MAX);
+  if ((metrics_.size() + 1) * 2 > index_.size()) {
+    GrowIndex();
+  }
+  const size_t slot = SlotOf(metric.name);
+  if (index_[slot] != 0) {
+    return false;
+  }
   metrics_.push_back(std::move(metric));
+  index_[slot] = static_cast<uint32_t>(metrics_.size());
   return true;
 }
 
@@ -132,12 +153,8 @@ bool MetricsRegistry::RegisterLatency(std::string name, LatencyFn fn) {
 
 const MetricsRegistry::Metric* MetricsRegistry::Find(
     std::string_view name) const {
-  for (const auto& m : metrics_) {
-    if (m.name == name) {
-      return &m;
-    }
-  }
-  return nullptr;
+  const size_t i = IndexOf(name);
+  return i == kInvalidIndex ? nullptr : &metrics_[i];
 }
 
 uint64_t MetricsRegistry::PrimaryValue(const Metric& m) const {
@@ -172,12 +189,11 @@ std::optional<MetricsRegistry::Kind> MetricsRegistry::KindOf(
 }
 
 size_t MetricsRegistry::IndexOf(std::string_view name) const {
-  for (size_t i = 0; i < metrics_.size(); i++) {
-    if (metrics_[i].name == name) {
-      return i;
-    }
+  if (index_.empty()) {
+    return kInvalidIndex;
   }
-  return kInvalidIndex;
+  const uint32_t entry = index_[SlotOf(name)];
+  return entry == 0 ? kInvalidIndex : entry - 1;
 }
 
 uint64_t MetricsRegistry::ValueAt(size_t index) const {

@@ -77,13 +77,15 @@ class MetricsRegistry {
   using LatencyFn = std::function<const LatencyHistogram*()>;
 
   // Registration (setup time; duplicate names are rejected with false).
+  // O(1) on average: a cluster registers ~39 metrics per node.
   bool RegisterValue(std::string name, ValueFn fn);
   bool RegisterCounter(std::string name, CounterFn fn);
   bool RegisterStat(std::string name, StatFn fn);
   bool RegisterLatency(std::string name, LatencyFn fn);
 
   size_t size() const { return metrics_.size(); }
-  const std::vector<std::string>& names() const { return names_; }
+  // Name of the metric at registration index i (i < size()).
+  const std::string& name(size_t i) const { return metrics_[i].name; }
 
   // Current primary value of a metric: kValue -> the value, kCounter ->
   // events, kStat/kLatency -> sample count. nullopt for unknown names.
@@ -131,9 +133,17 @@ class MetricsRegistry {
   bool RegisterNamed(Metric metric);
   uint64_t PrimaryValue(const Metric& m) const;
   const Metric* Find(std::string_view name) const;
+  // The index slot holding `name`, or the empty slot where it belongs.
+  // Requires a non-empty index.
+  size_t SlotOf(std::string_view name) const;
+  void GrowIndex();
 
   std::vector<Metric> metrics_;
-  std::vector<std::string> names_;
+  // Name index: open addressing with linear probing over a power-of-two
+  // table kept at most half full. A slot holds 1 + a position in metrics_,
+  // or 0 when empty, so each name is stored once (in its Metric) and
+  // registration and lookup are O(1) on average.
+  std::vector<uint32_t> index_;
   std::vector<Snapshot> snapshots_;
 };
 

@@ -2,6 +2,7 @@
 // (global-cache directory) partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/core/directory.h"
@@ -76,6 +77,32 @@ TEST(PodTest, IsLive) {
   EXPECT_TRUE(pod.IsLive(NodeId{0}));
   EXPECT_FALSE(pod.IsLive(NodeId{1}));
   EXPECT_TRUE(pod.IsLive(NodeId{2}));
+}
+
+TEST(PodTest, BuildSortsLiveAndIsLiveAgreesWithLinearScan) {
+  // IsLive binary-searches `live`, so Build must hand back a sorted list
+  // whatever the membership order, and the answer must match a plain scan.
+  std::vector<NodeId> members;
+  for (uint32_t i = 0; i < 40; i++) {
+    members.push_back(NodeId{i * 3 + i % 2});  // gaps of 2 and 4
+  }
+  std::vector<NodeId> shuffled = members;
+  for (size_t i = shuffled.size(); i > 1; i--) {
+    std::swap(shuffled[i - 1], shuffled[(i * 7919) % i]);
+  }
+  ASSERT_NE(shuffled, members);
+  Pod pod;
+  pod.Adopt(Pod::Build(1, shuffled));
+  const std::vector<NodeId>& live = pod.table().live;
+  EXPECT_TRUE(std::is_sorted(live.begin(), live.end()));
+  EXPECT_EQ(live, members);
+  for (uint32_t id = 0; id < 130; id++) {
+    const bool linear =
+        std::find(shuffled.begin(), shuffled.end(), NodeId{id}) !=
+        shuffled.end();
+    EXPECT_EQ(pod.IsLive(NodeId{id}), linear) << "node " << id;
+  }
+  EXPECT_FALSE(pod.IsLive(kInvalidNode));
 }
 
 TEST(PodTest, RemovingNodeRemapsOnlyItsBuckets) {

@@ -50,7 +50,7 @@ EpochPartial ReduceSubtree(const EpochTree& tree, size_t pos,
                            uint64_t epoch, Rng& rng) {
   EpochPartial acc;
   acc.epoch = epoch;
-  acc.from = tree.order[pos];
+  acc.from = tree.At(pos);
 
   // -1 stands for "fold my own summary"; the rest are child positions.
   std::vector<size_t> steps = {static_cast<size_t>(-1)};
@@ -61,7 +61,7 @@ EpochPartial ReduceSubtree(const EpochTree& tree, size_t pos,
   Shuffle(rng, steps);
   for (size_t step : steps) {
     if (step == static_cast<size_t>(-1)) {
-      EXPECT_TRUE(acc.MergeSummary(by_node[tree.order[pos].value]));
+      EXPECT_TRUE(acc.MergeSummary(by_node[tree.At(pos).value]));
     } else {
       const EpochPartial child = ReduceSubtree(tree, step, by_node, epoch, rng);
       EXPECT_TRUE(acc.MergePartial(child));
@@ -104,6 +104,15 @@ std::vector<NodeId> LiveNodes(uint32_t n) {
     live.push_back(NodeId{i});
   }
   return live;
+}
+
+// Position -> node for the whole tree.
+std::vector<NodeId> Order(const EpochTree& tree) {
+  std::vector<NodeId> order;
+  for (size_t pos = 0; pos < tree.size(); pos++) {
+    order.push_back(tree.At(pos));
+  }
+  return order;
 }
 
 TEST(EpochTreeTest, TreeMatchesFlatAcrossScalesAndFanouts) {
@@ -278,12 +287,12 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
       Shuffle(rng, live);  // membership join order must not matter
       const EpochTree tree = EpochTree::Build(live, root, fanout);
       const EpochTree sorted = EpochTree::Build(LiveNodes(n), root, fanout);
-      ASSERT_EQ(tree.order, sorted.order);
+      ASSERT_EQ(Order(tree), Order(sorted));
 
       // Coverage: every node exactly once, root in front.
       ASSERT_EQ(tree.size(), n);
-      ASSERT_EQ(tree.order[0], root);
-      std::vector<NodeId> seen = tree.order;
+      ASSERT_EQ(tree.At(0), root);
+      std::vector<NodeId> seen = Order(tree);
       std::sort(seen.begin(), seen.end(),
                 [](NodeId a, NodeId b) { return a.value < b.value; });
       ASSERT_EQ(seen, LiveNodes(n));
@@ -291,7 +300,7 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
       ASSERT_EQ(tree.SubtreeSize(root), n);
       EXPECT_EQ(tree.Parent(root), kInvalidNode);
       size_t covered = 1;
-      for (NodeId node : tree.order) {
+      for (NodeId node : Order(tree)) {
         size_t child_total = 0;
         for (NodeId child : tree.Children(node)) {
           EXPECT_EQ(tree.Parent(child), node);
@@ -313,6 +322,157 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
       EXPECT_EQ(tree.IndexOf(NodeId{n + 100}), EpochTree::kNone);
       EXPECT_EQ(tree.SubtreeSize(NodeId{n + 100}), 0u);
     }
+  }
+}
+
+// The tree as it was first built: a materialised position -> node list
+// ([root] + every other live node sorted by id), with subtree sizes, heights
+// and depths tabulated by walking the explicit child lists rather than by
+// the per-level index arithmetic. The view must answer every accessor
+// exactly like it.
+struct MaterialisedTree {
+  MaterialisedTree(const std::vector<NodeId>& live, NodeId root, uint32_t f)
+      : fanout(f > 0 ? f : 1) {
+    order.push_back(root);
+    for (NodeId node : live) {
+      if (node != root) {
+        order.push_back(node);
+      }
+    }
+    std::sort(order.begin() + 1, order.end());
+    const size_t n = order.size();
+    children.resize(n);
+    for (size_t pos = 0; pos < n; pos++) {
+      for (size_t c = pos * fanout + 1; c < n && c <= pos * fanout + fanout;
+           c++) {
+        children[pos].push_back(c);
+      }
+    }
+    depth.assign(n, 0);
+    for (size_t pos = 0; pos < n; pos++) {
+      for (size_t c : children[pos]) {
+        depth[c] = depth[pos] + 1;
+      }
+    }
+    subtree_size.assign(n, 1);
+    subtree_height.assign(n, 0);
+    for (size_t pos = n; pos-- > 0;) {  // children sit after their parent
+      for (size_t c : children[pos]) {
+        subtree_size[pos] += subtree_size[c];
+        subtree_height[pos] =
+            std::max(subtree_height[pos], subtree_height[c] + 1);
+      }
+    }
+  }
+  size_t IndexOf(NodeId node) const {
+    if (order[0] == node) {
+      return 0;
+    }
+    const auto it = std::lower_bound(order.begin() + 1, order.end(), node);
+    return it != order.end() && *it == node
+               ? static_cast<size_t>(it - order.begin())
+               : EpochTree::kNone;
+  }
+  NodeId Parent(NodeId node) const {
+    const size_t i = IndexOf(node);
+    return i == EpochTree::kNone || i == 0 ? kInvalidNode
+                                           : order[(i - 1) / fanout];
+  }
+  std::vector<NodeId> Children(NodeId node) const {
+    std::vector<NodeId> out;
+    const size_t i = IndexOf(node);
+    if (i != EpochTree::kNone) {
+      for (size_t c : children[i]) {
+        out.push_back(order[c]);
+      }
+    }
+    return out;
+  }
+
+  std::vector<NodeId> order;
+  uint32_t fanout;
+  std::vector<std::vector<size_t>> children;  // by position
+  std::vector<uint32_t> depth;
+  std::vector<size_t> subtree_size;
+  std::vector<uint32_t> subtree_height;
+};
+
+void ExpectTreeMatchesReference(const EpochTree& tree,
+                                const MaterialisedTree& ref,
+                                const std::vector<NodeId>& probes) {
+  ASSERT_EQ(tree.size(), ref.order.size());
+  ASSERT_EQ(tree.fanout, ref.fanout);
+  for (size_t pos = 0; pos < ref.order.size(); pos++) {
+    ASSERT_EQ(tree.At(pos), ref.order[pos]) << "position " << pos;
+  }
+  for (NodeId node : probes) {
+    SCOPED_TRACE(::testing::Message() << "node " << node.value);
+    ASSERT_EQ(tree.IndexOf(node), ref.IndexOf(node));
+    ASSERT_EQ(tree.Parent(node), ref.Parent(node));
+    ASSERT_EQ(tree.Children(node), ref.Children(node));
+    const size_t i = ref.IndexOf(node);
+    ASSERT_EQ(tree.SubtreeSize(node),
+              i == EpochTree::kNone ? 0 : ref.subtree_size[i]);
+    ASSERT_EQ(tree.SubtreeHeight(node),
+              i == EpochTree::kNone ? 0 : ref.subtree_height[i]);
+    ASSERT_EQ(tree.Depth(node), i == EpochTree::kNone ? 0 : ref.depth[i]);
+  }
+}
+
+TEST(EpochTreeTest, ViewMatchesMaterialisedTree) {
+  Rng rng(21);
+  for (uint32_t n : {1u, 2u, 17u, 1000u}) {
+    // Odd ids 1, 3, ..., 2n-1: even ids are gaps, so a root outside the live
+    // set can sit below, between or above the members.
+    std::vector<NodeId> sorted;
+    for (uint32_t i = 0; i < n; i++) {
+      sorted.push_back(NodeId{2 * i + 1});
+    }
+    const uint32_t mid = n | 1;
+    const std::vector<NodeId> roots_in = {NodeId{1}, NodeId{mid},
+                                          NodeId{2 * n - 1}};
+    const std::vector<NodeId> roots_out = {NodeId{0}, NodeId{mid - 1},
+                                           NodeId{2 * n}};
+    for (uint32_t fanout : {1u, 2u, 16u}) {
+      for (bool root_in_live : {true, false}) {
+        for (NodeId root : root_in_live ? roots_in : roots_out) {
+          for (bool shuffled : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " fanout=" << fanout << " root="
+                         << root.value << " shuffled=" << shuffled);
+            std::vector<NodeId> live = sorted;
+            if (shuffled) {
+              Shuffle(rng, live);
+            }
+            const MaterialisedTree ref(live, root, fanout);
+            // Every member, the root, and ids that are in no tree.
+            std::vector<NodeId> probes = ref.order;
+            probes.push_back(NodeId{2 * n + 2});
+            probes.push_back(NodeId{mid + 1});
+            probes.push_back(kInvalidNode);
+
+            const EpochTree built = EpochTree::Build(live, root, fanout);
+            ExpectTreeMatchesReference(built, ref, probes);
+            ExpectTreeMatchesReference(EpochTree(built), ref, probes);
+            if (!shuffled) {
+              const EpochTree view = EpochTree::View(live, root, fanout);
+              ExpectTreeMatchesReference(view, ref, probes);
+              ExpectTreeMatchesReference(EpochTree(view), ref, probes);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Duplicated ids (never produced by Pod::Build) keep the materialised
+  // semantics: every copy of the root goes, other copies keep a position.
+  const std::vector<NodeId> dup = {NodeId{5}, NodeId{3}, NodeId{5},
+                                   NodeId{7}, NodeId{3}, NodeId{9}};
+  for (NodeId root : {NodeId{5}, NodeId{4}}) {
+    const MaterialisedTree ref(dup, root, 2);
+    ExpectTreeMatchesReference(EpochTree::Build(dup, root, 2), ref,
+                               {NodeId{3}, NodeId{4}, NodeId{5}, NodeId{7},
+                                NodeId{9}, NodeId{11}});
   }
 }
 

@@ -45,7 +45,7 @@ TEST(MetricsEpochTest, SnapshotsTileToEndOfRunTotals) {
 
   const auto& snaps = metrics.snapshots();
   ASSERT_GE(snaps.size(), 3u) << "snapshot timer never fired";
-  const size_t width = metrics.names().size();
+  const size_t width = metrics.size();
   for (size_t k = 0; k < snaps.size(); k++) {
     ASSERT_EQ(snaps[k].values.size(), width) << "ragged snapshot " << k;
     if (k > 0) {
@@ -54,7 +54,7 @@ TEST(MetricsEpochTest, SnapshotsTileToEndOfRunTotals) {
       // resets mid-run the series must be monotone nondecreasing.
       for (size_t m = 0; m < width; m++) {
         EXPECT_GE(snaps[k].values[m], snaps[k - 1].values[m])
-            << metrics.names()[m] << " went backwards at snapshot " << k;
+            << metrics.name(m) << " went backwards at snapshot " << k;
       }
     }
   }
@@ -74,15 +74,15 @@ TEST(MetricsEpochTest, SnapshotsTileToEndOfRunTotals) {
 
   const auto& last = snaps.back();
   for (size_t m = 0; m < width; m++) {
-    EXPECT_EQ(last.values[m], metrics.Value(metrics.names()[m]).value_or(~0ull))
-        << metrics.names()[m];
+    EXPECT_EQ(last.values[m], metrics.Value(metrics.name(m)).value_or(~0ull))
+        << metrics.name(m);
   }
 
   // The series actually moved: a mid-run snapshot sits strictly between
   // zero and the final count for the busiest node's access counter.
   std::optional<size_t> idx;
   for (size_t m = 0; m < width; m++) {
-    if (metrics.names()[m] == "node0/os/accesses") {
+    if (metrics.name(m) == "node0/os/accesses") {
       idx = m;
     }
   }

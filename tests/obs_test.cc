@@ -411,5 +411,142 @@ TEST(MetricsRegistryTest, ToJsonEscapesHostileMetricNames) {
   EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
+// A random metric name over an alphabet that includes the characters the
+// JSON serializer has to escape. Short names over a small alphabet make
+// duplicates common.
+std::string RandomMetricName(Rng& rng) {
+  static constexpr char kAlphabet[] = "ab/\"\\\t\n\x01z0";
+  const size_t len = rng.NextBelow(5);
+  std::string name;
+  for (size_t i = 0; i < len; i++) {
+    name.push_back(kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)]);
+  }
+  return name;
+}
+
+TEST(MetricsRegistryTest, HashedIndexMatchesLinearReference) {
+  // The name index must answer exactly what a linear scan over the
+  // registration-order list answers: same accept/reject decisions, same
+  // indices, across every growth of the table (16 slots up to thousands).
+  Rng rng(77);
+  MetricsRegistry reg;
+  std::vector<std::string> ref;
+  auto ref_index = [&](const std::string& name) {
+    const auto it = std::find(ref.begin(), ref.end(), name);
+    return it == ref.end() ? MetricsRegistry::kInvalidIndex
+                           : static_cast<size_t>(it - ref.begin());
+  };
+  size_t duplicates = 0;
+  for (int i = 0; i < 6000; i++) {
+    const std::string name = RandomMetricName(rng);
+    const bool fresh = ref_index(name) == MetricsRegistry::kInvalidIndex;
+    const uint64_t pos = ref.size();
+    ASSERT_EQ(reg.RegisterValue(name, [pos] { return pos; }), fresh)
+        << "registration " << i;
+    if (fresh) {
+      ref.push_back(name);
+    } else {
+      duplicates++;
+    }
+    ASSERT_EQ(reg.size(), ref.size());
+    if (i % 500 == 0 || i == 5999) {
+      for (size_t k = 0; k < ref.size(); k++) {
+        ASSERT_EQ(reg.IndexOf(ref[k]), k);
+        ASSERT_EQ(reg.name(k), ref[k]);
+        ASSERT_EQ(reg.Value(ref[k]), k);
+      }
+      for (int p = 0; p < 50; p++) {
+        const std::string probe = RandomMetricName(rng) + "#";
+        ASSERT_EQ(reg.IndexOf(probe), ref_index(probe));
+        ASSERT_EQ(reg.Value(probe), std::nullopt);
+      }
+    }
+  }
+  EXPECT_GT(duplicates, 100u) << "the generator should produce duplicates";
+  EXPECT_GT(ref.size(), 1000u) << "the table should grow several times";
+}
+
+TEST(MetricsRegistryTest, IndexOfIsStableAcrossLaterRegistrations) {
+  MetricsRegistry reg;
+  uint64_t v = 0;
+  ASSERT_TRUE(reg.RegisterValue("node0/svc/epoch", [&] { return v; }));
+  ASSERT_TRUE(reg.RegisterValue("node0/os/faults", [&] { return v; }));
+  const size_t epoch = reg.IndexOf("node0/svc/epoch");
+  const size_t faults = reg.IndexOf("node0/os/faults");
+  EXPECT_EQ(epoch, 0u);
+  EXPECT_EQ(faults, 1u);
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(reg.RegisterValue("later/" + std::to_string(i),
+                                  [&] { return v; }));
+  }
+  EXPECT_FALSE(reg.RegisterValue("node0/os/faults", [&] { return v; }));
+  EXPECT_EQ(reg.IndexOf("node0/svc/epoch"), epoch);
+  EXPECT_EQ(reg.IndexOf("node0/os/faults"), faults);
+  EXPECT_EQ(reg.IndexOf("later/999"), 1001u);
+  EXPECT_EQ(reg.name(epoch), "node0/svc/epoch");
+}
+
+TEST(MetricsRegistryTest, UnknownNamesGiveNullopt) {
+  MetricsRegistry reg;
+  EXPECT_EQ(reg.Value("missing"), std::nullopt);
+  EXPECT_EQ(reg.KindOf("missing"), std::nullopt);
+  EXPECT_EQ(reg.IndexOf("missing"), MetricsRegistry::kInvalidIndex);
+  uint64_t v = 3;
+  ASSERT_TRUE(reg.RegisterValue("present", [&] { return v; }));
+  EXPECT_EQ(reg.Value("presen"), std::nullopt);
+  EXPECT_EQ(reg.Value("present/"), std::nullopt);
+  EXPECT_EQ(reg.KindOf(""), std::nullopt);
+  EXPECT_EQ(reg.Value("present"), 3u);
+  EXPECT_EQ(reg.KindOf("present"), MetricsRegistry::Kind::kValue);
+}
+
+TEST(MetricsRegistryTest, ToJsonMatchesPinnedExport) {
+  // Pinned from the linear-scan registry this index replaced: the export
+  // format, the sorted key order and the escaping must not move.
+  uint64_t v = 7;
+  Counter counter;
+  counter.Add(64);
+  counter.Add(32);
+  StatAccumulator stat;
+  stat.Add(1.5);
+  stat.Add(2.5);
+  LatencyHistogram hist;
+  hist.Record(Microseconds(100));
+  hist.Record(Microseconds(300));
+  MetricsRegistry reg;
+  ASSERT_TRUE(reg.RegisterValue("z/value", [&] { return v; }));
+  ASSERT_TRUE(reg.RegisterCounter("net/total", [&] { return &counter; }));
+  ASSERT_TRUE(reg.RegisterStat("os/access_us", [&] { return &stat; }));
+  ASSERT_TRUE(reg.RegisterLatency("os/fault_ns", [&] { return &hist; }));
+  ASSERT_TRUE(reg.RegisterValue("q\"b\\c\x01", [&] { return v; }));
+  ASSERT_FALSE(reg.RegisterValue("net/total", [&] { return v; }));
+  reg.SnapshotEpoch(Milliseconds(1));
+  v = 9;
+  counter.Add(8);
+  reg.SnapshotEpoch(Milliseconds(2));
+  const char* const kPinned = R"({
+  "schema": 1,
+  "metrics": {
+    "net/total": {"type": "counter", "events": 3, "bytes": 104},
+    "os/access_us": {"type": "stat", "count": 2, "mean": 2, "stddev": 0.707107, "min": 1.5, "max": 2.5},
+    "os/fault_ns": {"type": "latency", "count": 2, "p50_ns": 106496, "p95_ns": 294912, "p99_ns": 294912},
+    "q\"b\\c\u0001": {"type": "value", "value": 9},
+    "z/value": {"type": "value", "value": 9}
+  },
+  "snapshots": {
+    "times_ns": [1000000, 2000000],
+    "series": {
+      "net/total": [2, 3],
+      "os/access_us": [2, 2],
+      "os/fault_ns": [2, 2],
+      "q\"b\\c\u0001": [7, 9],
+      "z/value": [7, 9]
+    }
+  }
+}
+)";
+  EXPECT_EQ(reg.ToJson(), kPinned);
+}
+
 }  // namespace
 }  // namespace gms
