@@ -144,6 +144,47 @@ void BM_FrameTablePickVictim(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameTablePickVictim);
 
+// The oldest half of the table is dirty, so a require_clean scan (a provider
+// freeing a frame for an incoming putpage) must find the clean tail behind it.
+void BM_FrameTablePickVictimDirtyTail(benchmark::State& state) {
+  FrameTable table(8192);
+  for (uint32_t i = 0; i < 8192; i++) {
+    Frame* f = table.Allocate(
+        MakeUid(1, 0, 1, i),
+        i % 4 == 0 ? PageLocation::kGlobal : PageLocation::kLocal,
+        static_cast<SimTime>(i));
+    f->set_dirty(i < 4096);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.PickVictim(10000, 1.5, /*require_clean=*/true));
+  }
+}
+BENCHMARK(BM_FrameTablePickVictimDirtyTail);
+
+// A putpage flood into a full 8192-frame global list: each iteration evicts
+// the LRU page and absorbs one whose age falls anywhere in the list's span.
+void BM_FrameTableInsertByAge(benchmark::State& state) {
+  constexpr uint32_t kFrames = 8192;
+  constexpr SimTime kSpan = 2 * kFrames;
+  FrameTable table(kFrames);
+  for (uint32_t i = 0; i < kFrames; i++) {
+    table.Allocate(MakeUid(1, 0, 1, i), PageLocation::kGlobal,
+                   static_cast<SimTime>(2 * i));
+  }
+  Rng rng(4);
+  SimTime now = kSpan;
+  uint32_t next = kFrames;
+  for (auto _ : state) {
+    table.Free(table.OldestGlobal());
+    table.AllocateWithAge(MakeUid(1, 0, 1, next++), PageLocation::kGlobal,
+                          now - static_cast<SimTime>(rng.NextBelow(kSpan)));
+    now++;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FrameTableInsertByAge);
+
 void BM_GcdApplyAndPick(benchmark::State& state) {
   GcdTable gcd;
   Rng rng(3);

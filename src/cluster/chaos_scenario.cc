@@ -8,23 +8,25 @@ namespace gms {
 
 namespace {
 
-// Re-arms itself every 100 ms, toggling the node's far capacity between the
-// full size and half of it. Scheduled inside the node's simulation context so
-// the evictions it triggers keep their deterministic order under the sharded
-// (parallel) event loop.
-void ArmFarFluctuation(Cluster* cluster, NodeId node, uint64_t full,
-                       uint32_t tick) {
-  Simulator& sim = cluster->sim();
-  Simulator::ContextScope in_node(sim, node.value + 1);
-  // Stagger nodes by 25 ms so capacity cliffs do not land cluster-wide at
-  // the same instant.
-  const SimTime delay =
-      tick == 0 ? Milliseconds(100) + Milliseconds(25) * node.value
-                : Milliseconds(100);
-  sim.After(delay, [cluster, node, full, tick] {
+// Toggles the node's far capacity between the full size and half of it every
+// 100 ms. Each tick runs in the node's simulation context and re-arms the
+// next one from there with a plain After, so the evictions it triggers keep
+// their deterministic order under the sharded (parallel) event loop.
+void ScheduleFarTick(Cluster* cluster, NodeId node, uint64_t full,
+                     uint32_t tick, SimTime delay) {
+  cluster->sim().After(delay, [cluster, node, full, tick] {
     cluster->far_tier(node)->SetCapacity(tick % 2 == 0 ? full / 2 : full);
-    ArmFarFluctuation(cluster, node, full, tick + 1);
+    ScheduleFarTick(cluster, node, full, tick + 1, Milliseconds(100));
   });
+}
+
+// Harness-side first arm: enters the node's context once, before the run.
+// Nodes are staggered by 25 ms so capacity cliffs do not land cluster-wide
+// at the same instant.
+void ArmFarFluctuation(Cluster* cluster, NodeId node, uint64_t full) {
+  Simulator::ContextScope in_node(cluster->sim(), node.value + 1);
+  ScheduleFarTick(cluster, node, full, 0,
+                  Milliseconds(100) + Milliseconds(25) * node.value);
 }
 
 }  // namespace
@@ -68,7 +70,7 @@ std::unique_ptr<Cluster> BuildChaosCluster(const ChaosCase& chaos,
   cluster->Start();
   if (chaos.far_frames > 0 && chaos.far_fluctuate) {
     for (uint32_t i = 0; i < config.num_nodes; i++) {
-      ArmFarFluctuation(cluster.get(), NodeId{i}, chaos.far_frames, 0);
+      ArmFarFluctuation(cluster.get(), NodeId{i}, chaos.far_frames);
     }
   }
   cluster->AddWorkload(

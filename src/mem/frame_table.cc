@@ -1,8 +1,24 @@
 #include "src/mem/frame_table.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace gms {
+
+namespace {
+
+// Tower height of a slot: 1 + the number of trailing zero bit pairs of a
+// fixed hash of its index, so each extra level has probability 1/4.
+int TowerHeight(uint32_t slot, int max_level) {
+  uint64_t x = (static_cast<uint64_t>(slot) + 1) * 0x9e3779b97f4a7c15ULL;
+  x ^= x >> 31;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 29;
+  return std::min(max_level, 1 + std::countr_zero(x) / 2);
+}
+
+}  // namespace
 
 FrameTable::FrameTable(uint32_t num_frames) {
   assert(num_frames > 0);
@@ -11,27 +27,80 @@ FrameTable::FrameTable(uint32_t num_frames) {
   ages_.assign(num_frames, 0);
   flags_.assign(num_frames, 0);
   recirc_.assign(num_frames, 0);
+  while (levels_ < kMaxLevel && (4ull << (2 * levels_)) < num_frames) {
+    levels_++;
+  }
   free_.reserve(num_frames);
+  uint32_t pool = 0;
   // Hand out low indices first (cosmetic; keeps tests predictable).
   for (uint32_t i = num_frames; i > 0; i--) {
-    frames_[i - 1].table_ = this;
-    frames_[i - 1].index_ = i - 1;
+    Frame& f = frames_[i - 1];
+    f.table_ = this;
+    f.index_ = i - 1;
+    const int h = TowerHeight(i - 1, levels_);
+    f.tower_ = pool << kHeightBits | static_cast<uint32_t>(h);
+    pool += h - 1;
     free_.push_back(i - 1);
   }
-  index_.reserve(num_frames * 2);
+  assert(pool < (1u << (32 - kHeightBits)));
+  towers_.resize(pool);
+  ends_.assign(4 * (levels_ - 1) * 2, kNil);
+  uint64_t capacity = 1;
+  while (capacity < 2ull * num_frames) {
+    capacity <<= 1;
+  }
+  index_.assign(capacity, kNil);
+  index_mask_ = capacity - 1;
+}
+
+uint32_t FrameTable::Find(const Uid& uid) const {
+  for (uint64_t pos = HomeOf(uid);; pos = (pos + 1) & index_mask_) {
+    const uint32_t slot = index_[pos];
+    if (slot == kNil || uids_[slot] == uid) {
+      return slot;
+    }
+  }
+}
+
+void FrameTable::IndexInsert(uint32_t slot) {
+  uint64_t pos = HomeOf(uids_[slot]);
+  while (index_[pos] != kNil) {
+    pos = (pos + 1) & index_mask_;
+  }
+  index_[pos] = slot;
+}
+
+void FrameTable::IndexErase(uint32_t slot) {
+  uint64_t hole = HomeOf(uids_[slot]);
+  while (index_[hole] != slot) {
+    hole = (hole + 1) & index_mask_;
+  }
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless their home lies cyclically in (hole, pos].
+  for (uint64_t pos = (hole + 1) & index_mask_; index_[pos] != kNil;
+       pos = (pos + 1) & index_mask_) {
+    const uint64_t home = HomeOf(uids_[index_[pos]]);
+    const bool stays = hole <= pos ? (hole < home && home <= pos)
+                                   : (hole < home || home <= pos);
+    if (!stays) {
+      index_[hole] = index_[pos];
+      hole = pos;
+    }
+  }
+  index_[hole] = kNil;
 }
 
 Frame* FrameTable::Lookup(const Uid& uid) {
-  auto it = index_.find(uid);
-  return it == index_.end() ? nullptr : &frames_[it->second];
+  const uint32_t slot = Find(uid);
+  return slot == kNil ? nullptr : &frames_[slot];
 }
 
 const Frame* FrameTable::Lookup(const Uid& uid) const {
-  auto it = index_.find(uid);
-  return it == index_.end() ? nullptr : &frames_[it->second];
+  const uint32_t slot = Find(uid);
+  return slot == kNil ? nullptr : &frames_[slot];
 }
 
-Frame* FrameTable::Allocate(const Uid& uid, PageLocation location, SimTime now) {
+Frame* FrameTable::Bind(const Uid& uid, PageLocation location, SimTime age) {
   assert(uid.valid());
   assert(Lookup(uid) == nullptr);
   if (free_.empty()) {
@@ -43,29 +112,32 @@ Frame* FrameTable::Allocate(const Uid& uid, PageLocation location, SimTime now) 
   flags_[idx] = kFlagInUse |
                 (location == PageLocation::kGlobal ? kFlagGlobal : 0);
   recirc_[idx] = 0;
-  ages_[idx] = now;
-  index_.emplace(uid, idx);
-  Frame& f = frames_[idx];
-  PushMru(&f);
-  return &f;
+  ages_[idx] = age;
+  IndexInsert(idx);
+  return &frames_[idx];
+}
+
+Frame* FrameTable::Allocate(const Uid& uid, PageLocation location, SimTime now) {
+  Frame* f = Bind(uid, location, now);
+  if (f != nullptr) {
+    PushMru(f);
+  }
+  return f;
 }
 
 Frame* FrameTable::AllocateWithAge(const Uid& uid, PageLocation location,
                                    SimTime last_access) {
-  Frame* f = Allocate(uid, location, last_access);
-  if (f == nullptr) {
-    return nullptr;
+  Frame* f = Bind(uid, location, last_access);
+  if (f != nullptr) {
+    InsertByAge(f);
   }
-  // Allocate pushed at MRU; re-link at the position matching last_access.
-  Unlink(f);
-  InsertByAge(f);
   return f;
 }
 
 void FrameTable::Free(Frame* frame) {
   assert(frame != nullptr && frame->in_use());
   Unlink(frame);
-  index_.erase(uids_[frame->index_]);
+  IndexErase(frame->index_);
   uids_[frame->index_] = kInvalidUid;
   flags_[frame->index_] = 0;
   free_.push_back(frame->index_);
@@ -73,8 +145,8 @@ void FrameTable::Free(Frame* frame) {
 
 void FrameTable::Touch(Frame* frame, SimTime now) {
   assert(frame->in_use());
-  ages_[frame->index_] = now;
   Unlink(frame);
+  ages_[frame->index_] = now;
   PushMru(frame);
 }
 
@@ -103,34 +175,38 @@ void FrameTable::MoveToList(Frame* frame, PageLocation location) {
 void FrameTable::Reset() {
   const uint32_t n = num_frames();
   free_.clear();
-  index_.clear();
-  lists_[0] = List{};
-  lists_[1] = List{};
+  std::fill(index_.begin(), index_.end(), kNil);
+  std::fill(ends_.begin(), ends_.end(), kNil);
+  for (List& list : lists_) {
+    list = List{};
+  }
   uids_.assign(n, kInvalidUid);
   ages_.assign(n, 0);
   flags_.assign(n, 0);
   recirc_.assign(n, 0);
   for (uint32_t i = n; i > 0; i--) {
-    frames_[i - 1].prev_ = UINT32_MAX;
-    frames_[i - 1].next_ = UINT32_MAX;
+    frames_[i - 1].prev_ = kNil;
+    frames_[i - 1].next_ = kNil;
     free_.push_back(i - 1);
   }
 }
 
-Frame* FrameTable::OldestOf(int list_index) {
-  return OldestOf(list_index, /*require_clean=*/false);
-}
-
-Frame* FrameTable::OldestOf(int list_index, bool require_clean) {
-  uint32_t idx = lists_[list_index].tail;
-  while (idx != UINT32_MAX) {
-    Frame& f = frames_[idx];
-    if (!f.pinned() && !(require_clean && f.dirty())) {
-      return &f;
-    }
-    idx = f.prev_;
+Frame* FrameTable::OldestOf(int location, bool require_clean) {
+  const uint32_t clean = lists_[2 * location].tail;
+  if (require_clean) {
+    return clean == kNil ? nullptr : &frames_[clean];
   }
-  return nullptr;
+  // The oldest unpinned frame overall is the evictable tail or an older
+  // dirty frame; only pinned frames older than the evictable tail are
+  // stepped over.
+  uint32_t idx = lists_[2 * location + 1].tail;
+  while (idx != kNil && (clean == kNil || Older(idx, clean))) {
+    if (!flag(idx, kFlagPinned)) {
+      return &frames_[idx];
+    }
+    idx = frames_[idx].prev_;
+  }
+  return clean == kNil ? nullptr : &frames_[clean];
 }
 
 Frame* FrameTable::PickVictim(SimTime now, double global_age_boost,
@@ -155,9 +231,20 @@ Frame* FrameTable::OldestMatching(
     const std::function<bool(const Frame&)>& pred) {
   Frame* best = nullptr;
   double best_age = -1;
-  for (int list = 0; list < 2; list++) {
-    uint32_t idx = lists_[list].tail;
-    while (idx != UINT32_MAX) {
+  for (int location = 0; location < 2; location++) {
+    // Walk the location's two lists merged by key, oldest first: the same
+    // visit order as one age-sorted list.
+    uint32_t clean = lists_[2 * location].tail;
+    uint32_t other = lists_[2 * location + 1].tail;
+    while (clean != kNil || other != kNil) {
+      uint32_t idx;
+      if (other == kNil || (clean != kNil && Older(clean, other))) {
+        idx = clean;
+        clean = frames_[clean].prev_;
+      } else {
+        idx = other;
+        other = frames_[other].prev_;
+      }
       Frame& f = frames_[idx];
       if (!f.pinned() && pred(f)) {
         double age = static_cast<double>(now - f.last_access());
@@ -168,9 +255,8 @@ Frame* FrameTable::OldestMatching(
           best = &f;
           best_age = age;
         }
-        break;  // tail-first: the first match in a list is its oldest
+        break;  // tail-first: the first match in a location is its oldest
       }
-      idx = f.prev_;
     }
   }
   return best;
@@ -184,64 +270,74 @@ void FrameTable::ForEach(const std::function<void(const Frame&)>& fn) const {
   }
 }
 
-void FrameTable::InsertByAge(Frame* f) {
-  List& list = list_for(*f);
-  const SimTime f_age = ages_[f->index_];
-  // Walk from the MRU end until we find a frame at least as recent as f;
-  // putpaged pages are younger than the receiving node's idle tail, so the
-  // walk is short in practice.
-  uint32_t idx = list.head;
-  uint32_t prev = UINT32_MAX;
-  while (idx != UINT32_MAX && ages_[idx] > f_age) {
-    prev = idx;
-    idx = frames_[idx].next_;
-  }
-  // Insert f between prev and idx.
-  f->prev_ = prev;
-  f->next_ = idx;
-  if (prev != UINT32_MAX) {
-    frames_[prev].next_ = f->index_;
-  } else {
-    list.head = f->index_;
-  }
-  if (idx != UINT32_MAX) {
-    frames_[idx].prev_ = f->index_;
-  } else {
-    list.tail = f->index_;
-  }
-  list.size++;
-}
-
 void FrameTable::PushMru(Frame* f) {
-  List& list = list_for(*f);
-  f->prev_ = UINT32_MAX;
-  f->next_ = list.head;
-  if (list.head != UINT32_MAX) {
-    frames_[list.head].prev_ = f->index_;
+  const uint32_t i = f->index_;
+  const int li = ListOf(flags_[i]);
+  // Accesses arrive in time order, so the frame is its location's newest.
+  for ([[maybe_unused]] const List& list : {lists_[li & ~1], lists_[li | 1]}) {
+    assert(list.size == 0 || ages_[i] >= ages_[list.head]);
   }
-  list.head = f->index_;
-  if (list.tail == UINT32_MAX) {
-    list.tail = f->index_;
+  f->seq_ = ++next_seq_;
+  LinkByKey(li, i);  // the newest key: links at the head
+}
+
+void FrameTable::InsertByAge(Frame* f) {
+  f->seq_ = ++next_seq_;
+  LinkByKey(ListOf(flags_[f->index_]), f->index_);
+}
+
+void FrameTable::LinkByKey(int list_index, uint32_t i) {
+  List& list = lists_[list_index];
+  const int h = height(i);
+  if (list.size == 0 || Older(list.head, i)) {
+    for (int l = 0; l < h; l++) {  // newest: link at the head
+      LinkAfter(list_index, i, kNil, l);
+    }
+  } else if (Older(i, list.tail)) {
+    for (int l = 0; l < h; l++) {  // oldest: link at the tail
+      LinkAfter(list_index, i, tail(list_index, l), l);
+    }
+  } else {
+    // Top-down search for the last frame newer than i on each level; kNil
+    // stands for the list head.
+    uint32_t pred = kNil;
+    for (int l = levels_ - 1; l >= 0; l--) {
+      uint32_t next = pred == kNil ? head(list_index, l) : next_at(pred, l);
+      while (next != kNil && Older(i, next)) {
+        pred = next;
+        next = next_at(pred, l);
+      }
+      if (l < h) {
+        LinkAfter(list_index, i, pred, l);
+      }
+    }
   }
   list.size++;
 }
 
-void FrameTable::Unlink(Frame* f) {
-  List& list = list_for(*f);
-  if (f->prev_ != UINT32_MAX) {
-    frames_[f->prev_].next_ = f->next_;
-  } else {
-    list.head = f->next_;
+void FrameTable::LinkAfter(int list_index, uint32_t i, uint32_t pred,
+                           int level) {
+  uint32_t& pred_next =
+      pred == kNil ? head(list_index, level) : next_at(pred, level);
+  const uint32_t next = pred_next;
+  prev_at(i, level) = pred;
+  next_at(i, level) = next;
+  pred_next = i;
+  (next == kNil ? tail(list_index, level) : prev_at(next, level)) = i;
+}
+
+void FrameTable::Unlink(int list_index, uint32_t i) {
+  const int h = height(i);
+  for (int l = 0; l < h; l++) {
+    const uint32_t prev = prev_at(i, l);
+    const uint32_t next = next_at(i, l);
+    (prev == kNil ? head(list_index, l) : next_at(prev, l)) = next;
+    (next == kNil ? tail(list_index, l) : prev_at(next, l)) = prev;
   }
-  if (f->next_ != UINT32_MAX) {
-    frames_[f->next_].prev_ = f->prev_;
-  } else {
-    list.tail = f->prev_;
-  }
-  f->prev_ = UINT32_MAX;
-  f->next_ = UINT32_MAX;
-  assert(list.size > 0);
-  list.size--;
+  frames_[i].prev_ = kNil;
+  frames_[i].next_ = kNil;
+  assert(lists_[list_index].size > 0);
+  lists_[list_index].size--;
 }
 
 }  // namespace gms

@@ -1,7 +1,11 @@
 // Unit tests for the frame table: allocation, LRU ordering, location lists,
-// victim selection, age-preserving inserts, and reset semantics.
+// victim selection, age-preserving inserts, and reset semantics, plus a
+// differential test against a naive single-list reference.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -252,6 +256,335 @@ TEST_P(FrameTableStressTest, InvariantsHoldUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrameTableStressTest,
                          ::testing::Values(1, 2, 3, 42, 1337));
+
+// The naive reference: one intrusive list per location, kept in age order by
+// pushing accesses at the MRU head and placing aged links with a walk from
+// the head; victim scans walk from the LRU tail past pinned (and, when
+// required, dirty) frames. FrameTable must pick exactly the same frames.
+class NaiveFrameTable {
+ public:
+  explicit NaiveFrameTable(uint32_t n) : slots_(n) {
+    for (uint32_t i = n; i > 0; i--) {
+      free_.push_back(i - 1);
+    }
+  }
+
+  uint32_t free_count() const { return static_cast<uint32_t>(free_.size()); }
+  uint32_t count(PageLocation loc) const { return lists_[Li(loc)].size; }
+
+  bool Allocate(const Uid& uid, PageLocation loc, SimTime now) {
+    const uint32_t i = Bind(uid, loc, now);
+    if (i == kNil) {
+      return false;
+    }
+    PushMru(i);
+    return true;
+  }
+
+  bool AllocateWithAge(const Uid& uid, PageLocation loc, SimTime age) {
+    const uint32_t i = Bind(uid, loc, age);
+    if (i == kNil) {
+      return false;
+    }
+    InsertByAge(i);
+    return true;
+  }
+
+  void Free(const Uid& uid) {
+    const uint32_t i = index_.at(uid);
+    Unlink(i);
+    index_.erase(uid);
+    slots_[i] = Slot{};
+    free_.push_back(i);
+  }
+
+  void Touch(const Uid& uid, SimTime now) {
+    const uint32_t i = index_.at(uid);
+    Unlink(i);
+    slots_[i].age = now;
+    PushMru(i);
+  }
+
+  void SetLocation(const Uid& uid, PageLocation loc, SimTime now) {
+    const uint32_t i = index_.at(uid);
+    Unlink(i);
+    slots_[i].loc = loc;
+    slots_[i].age = now;
+    PushMru(i);
+  }
+
+  void MoveToList(const Uid& uid, PageLocation loc) {
+    const uint32_t i = index_.at(uid);
+    if (slots_[i].loc == loc) {
+      return;
+    }
+    Unlink(i);
+    slots_[i].loc = loc;
+    InsertByAge(i);
+  }
+
+  void SetDirty(const Uid& uid, bool v) { slots_[index_.at(uid)].dirty = v; }
+  void SetPinned(const Uid& uid, bool v) { slots_[index_.at(uid)].pinned = v; }
+  void SetDuplicated(const Uid& uid, bool v) {
+    slots_[index_.at(uid)].duplicated = v;
+  }
+
+  void Reset() { *this = NaiveFrameTable(static_cast<uint32_t>(slots_.size())); }
+
+  // Uid of the oldest qualifying frame of one location, or kInvalidUid.
+  Uid Oldest(PageLocation loc, bool require_clean) const {
+    const uint32_t i = OldestOf(Li(loc), require_clean);
+    return i == kNil ? kInvalidUid : slots_[i].uid;
+  }
+
+  Uid PickVictim(SimTime now, double boost, bool require_clean) const {
+    const uint32_t local = OldestOf(0, require_clean);
+    const uint32_t global = OldestOf(1, require_clean);
+    if (global == kNil) {
+      return local == kNil ? kInvalidUid : slots_[local].uid;
+    }
+    if (local == kNil) {
+      return slots_[global].uid;
+    }
+    const double local_age = static_cast<double>(now - slots_[local].age);
+    const double global_age =
+        static_cast<double>(now - slots_[global].age) * boost;
+    return slots_[global_age >= local_age ? global : local].uid;
+  }
+
+  // OldestMatching with the predicate "duplicated".
+  Uid OldestDuplicated(SimTime now, double boost) const {
+    uint32_t best = kNil;
+    double best_age = -1;
+    for (int li = 0; li < 2; li++) {
+      for (uint32_t i = lists_[li].tail; i != kNil; i = slots_[i].prev) {
+        if (!slots_[i].pinned && slots_[i].duplicated) {
+          double age = static_cast<double>(now - slots_[i].age);
+          if (li == 1) {
+            age *= boost;
+          }
+          if (age > best_age) {
+            best = i;
+            best_age = age;
+          }
+          break;
+        }
+      }
+    }
+    return best == kNil ? kInvalidUid : slots_[best].uid;
+  }
+
+ private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+  struct Slot {
+    Uid uid;
+    SimTime age = 0;
+    PageLocation loc = PageLocation::kLocal;
+    bool dirty = false;
+    bool pinned = false;
+    bool duplicated = false;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+  };
+  struct List {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+    uint32_t size = 0;
+  };
+
+  static int Li(PageLocation loc) { return loc == PageLocation::kGlobal; }
+
+  uint32_t Bind(const Uid& uid, PageLocation loc, SimTime age) {
+    if (free_.empty()) {
+      return kNil;
+    }
+    const uint32_t i = free_.back();
+    free_.pop_back();
+    slots_[i] = Slot{};
+    slots_[i].uid = uid;
+    slots_[i].loc = loc;
+    slots_[i].age = age;
+    index_.emplace(uid, i);
+    return i;
+  }
+
+  void PushMru(uint32_t i) {
+    List& list = lists_[Li(slots_[i].loc)];
+    slots_[i].prev = kNil;
+    slots_[i].next = list.head;
+    if (list.head != kNil) {
+      slots_[list.head].prev = i;
+    } else {
+      list.tail = i;
+    }
+    list.head = i;
+    list.size++;
+  }
+
+  void InsertByAge(uint32_t i) {
+    List& list = lists_[Li(slots_[i].loc)];
+    uint32_t prev = kNil;
+    uint32_t at = list.head;
+    while (at != kNil && slots_[at].age > slots_[i].age) {
+      prev = at;
+      at = slots_[at].next;
+    }
+    slots_[i].prev = prev;
+    slots_[i].next = at;
+    (prev == kNil ? list.head : slots_[prev].next) = i;
+    (at == kNil ? list.tail : slots_[at].prev) = i;
+    list.size++;
+  }
+
+  void Unlink(uint32_t i) {
+    List& list = lists_[Li(slots_[i].loc)];
+    const uint32_t prev = slots_[i].prev;
+    const uint32_t next = slots_[i].next;
+    (prev == kNil ? list.head : slots_[prev].next) = next;
+    (next == kNil ? list.tail : slots_[next].prev) = prev;
+    list.size--;
+  }
+
+  uint32_t OldestOf(int li, bool require_clean) const {
+    for (uint32_t i = lists_[li].tail; i != kNil; i = slots_[i].prev) {
+      if (!slots_[i].pinned && !(require_clean && slots_[i].dirty)) {
+        return i;
+      }
+    }
+    return kNil;
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
+  std::unordered_map<Uid, uint32_t> index_;
+  List lists_[2];
+};
+
+Uid UidOf(const Frame* f) { return f == nullptr ? kInvalidUid : f->uid(); }
+
+// Random operation streams through FrameTable and the naive reference: after
+// every step both must name the same oldest, victim and matching frames and
+// report the same counts. Ages repeat often so equal-age ties are exercised.
+class FrameTableDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>> {};
+
+TEST_P(FrameTableDifferentialTest, MatchesNaiveSingleListReference) {
+  const auto [frames, seed] = GetParam();
+  Rng rng(seed);
+  FrameTable t(frames);
+  NaiveFrameTable ref(frames);
+  std::vector<Uid> resident;
+  SimTime now = 1000;
+  uint32_t next_uid = 1;
+  auto loc = [&] {
+    return rng.NextBool(0.5) ? PageLocation::kGlobal : PageLocation::kLocal;
+  };
+  auto pick = [&]() -> size_t { return rng.NextBelow(resident.size()); };
+  for (int step = 0; step < 20000; step++) {
+    now += static_cast<SimTime>(rng.NextBelow(4));  // 0 makes equal ages
+    const uint64_t op = rng.NextBelow(100);
+    std::string what;
+    if (op < 20 && t.free_count() > 0) {
+      const Uid uid = U(next_uid++);
+      const PageLocation where = loc();
+      what = "Allocate";
+      ASSERT_NE(t.Allocate(uid, where, now), nullptr);
+      ASSERT_TRUE(ref.Allocate(uid, where, now));
+      resident.push_back(uid);
+    } else if (op < 40 && t.free_count() > 0) {
+      // A putpaged page: an arbitrary past age, often equal to a resident
+      // frame's age.
+      SimTime age = now - static_cast<SimTime>(rng.NextBelow(now));
+      if (!resident.empty() && rng.NextBool(0.5)) {
+        age = t.Lookup(resident[pick()])->last_access();
+      }
+      const Uid uid = U(next_uid++);
+      const PageLocation where = loc();
+      what = "AllocateWithAge";
+      ASSERT_NE(t.AllocateWithAge(uid, where, age), nullptr);
+      ASSERT_TRUE(ref.AllocateWithAge(uid, where, age));
+      resident.push_back(uid);
+    } else if (resident.empty()) {
+      continue;
+    } else if (op < 50) {
+      const Uid uid = resident[pick()];
+      what = "Touch";
+      t.Touch(t.Lookup(uid), now);
+      ref.Touch(uid, now);
+    } else if (op < 55) {
+      const Uid uid = resident[pick()];
+      const PageLocation where = loc();
+      what = "SetLocation";
+      t.SetLocation(t.Lookup(uid), where, now);
+      ref.SetLocation(uid, where, now);
+    } else if (op < 62) {
+      const Uid uid = resident[pick()];
+      const PageLocation where = loc();
+      what = "MoveToList";
+      t.MoveToList(t.Lookup(uid), where);
+      ref.MoveToList(uid, where);
+    } else if (op < 72) {
+      const Uid uid = resident[pick()];
+      const bool v = rng.NextBool(0.5);
+      what = "set_dirty";
+      t.Lookup(uid)->set_dirty(v);
+      ref.SetDirty(uid, v);
+    } else if (op < 80) {
+      const Uid uid = resident[pick()];
+      const bool v = rng.NextBool(0.4);
+      what = "set_pinned";
+      t.Lookup(uid)->set_pinned(v);
+      ref.SetPinned(uid, v);
+    } else if (op < 84) {
+      const Uid uid = resident[pick()];
+      const bool v = rng.NextBool(0.5);
+      what = "set_duplicated";
+      t.Lookup(uid)->set_duplicated(v);
+      ref.SetDuplicated(uid, v);
+    } else if (op < 99) {
+      const size_t i = pick();
+      what = "Free";
+      t.Free(t.Lookup(resident[i]));
+      ref.Free(resident[i]);
+      resident[i] = resident.back();
+      resident.pop_back();
+    } else if (rng.NextBool(0.1)) {
+      what = "Reset";
+      t.Reset();
+      ref.Reset();
+      resident.clear();
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + " after " + what);
+    ASSERT_EQ(t.free_count(), ref.free_count());
+    ASSERT_EQ(t.local_count(), ref.count(PageLocation::kLocal));
+    ASSERT_EQ(t.global_count(), ref.count(PageLocation::kGlobal));
+    ASSERT_EQ(UidOf(t.OldestLocal()), ref.Oldest(PageLocation::kLocal, false));
+    ASSERT_EQ(UidOf(t.OldestGlobal()),
+              ref.Oldest(PageLocation::kGlobal, false));
+    for (const double boost : {1.0, 1.5}) {
+      for (const bool clean : {false, true}) {
+        ASSERT_EQ(UidOf(t.PickVictim(now, boost, clean)),
+                  ref.PickVictim(now, boost, clean));
+      }
+      ASSERT_EQ(UidOf(t.OldestMatching(
+                    now, boost, [](const Frame& f) { return f.duplicated(); })),
+                ref.OldestDuplicated(now, boost));
+    }
+    if (!resident.empty()) {
+      const Uid uid = resident[pick()];
+      ASSERT_NE(t.Lookup(uid), nullptr);
+      ASSERT_EQ(t.Lookup(uid)->uid(), uid);
+    }
+    ASSERT_EQ(t.Lookup(U(next_uid)), nullptr);
+  }
+}
+
+// Small tables stress ties and empty lists; the larger one grows skip-list
+// towers several levels high.
+INSTANTIATE_TEST_SUITE_P(
+    Streams, FrameTableDifferentialTest,
+    ::testing::Combine(::testing::Values(16u, 64u, 2048u),
+                       ::testing::Values(1u, 7u, 9001u)));
 
 }  // namespace
 }  // namespace gms
